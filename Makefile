@@ -1,7 +1,7 @@
 PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
-.PHONY: install test bench bench-smoke bench-planner \
+.PHONY: install test bench bench-planner \
 	bench-planner-smoke bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke \
 	examples lint lint-concurrency stress faultcheck \
@@ -23,17 +23,8 @@ bench:
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only \
 		--benchmark-sort=mean
 
-# one-round smoke of the prepared-plan ablation on the smallest
-# corpus; emits BENCH_prepared.json for CI artifacts/trend lines
-bench-smoke:
-	REPRO_BENCH_SIZES_KIB=32 \
-		$(PYTHON) -m pytest benchmarks/test_prepared_queries.py \
-		--benchmark-only --benchmark-min-rounds=1 \
-		--benchmark-json=BENCH_prepared.json
-
-# planner ablation (planned vs unplanned full checks, batched vs
-# sequential update checking) across all sizes; emits
-# BENCH_planner.json and gates on the acceptance floors
+# planner ablation (planned vs unplanned full checks) across all
+# sizes; emits BENCH_planner.json and gates on the acceptance floors
 bench-planner:
 	REPRO_BENCH_SIZES_KIB=$(BENCH_SIZES) \
 		$(PYTHON) -m pytest benchmarks/test_planner_ablation.py \

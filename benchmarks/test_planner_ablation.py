@@ -1,35 +1,21 @@
-"""Planner ablation — planned vs. unplanned evaluation, batched checks.
+"""Planner ablation — planned vs. unplanned evaluation.
 
-Two question sets, emitted as ``BENCH_planner.json`` by
-``make bench-planner``:
-
-* **planned vs. unplanned full checks** on the figure 1 workloads: the
-  same prepared constraint ASTs evaluated through the cost-based
-  planner (selectivity-ordered bindings, early-exit quantifiers,
-  value-index probes) and through the unplanned tuple-at-a-time
-  engine.  The documents are identical and read-only, so the timing
-  gap is purely the planner's doing.
-* **batched vs. sequential update checking**: 32 same-pattern legal
-  submissions checked by one :meth:`IntegrityGuard.check_batch` call
-  (shared, incrementally repaired value indexes) against 32 sequential
-  :meth:`try_execute` calls.  Each round runs on a freshly generated
-  corpus (built in un-timed setup), so state never accumulates across
-  rounds or arms.
+Emitted as ``BENCH_planner.json`` by ``make bench-planner``: the
+figure 1 full checks, with the same prepared constraint ASTs evaluated
+through the cost-based planner (selectivity-ordered bindings,
+early-exit quantifiers, value-index probes) and through the unplanned
+tuple-at-a-time engine.  The documents are identical and read-only, so
+the timing gap is purely the planner's doing.
 
 ``scripts/check_planner_gate.py`` turns the JSON into a regression
-gate: the planned/unplanned and batch/sequential ratios must not
-regress more than 20% against the committed baseline.
+gate: the planned/unplanned ratios must not regress more than 20%
+against the committed baseline.
 """
 
 from __future__ import annotations
 
-from repro.core import IntegrityGuard
-from repro.datagen import generate_corpus, spec_for_size
-from repro.datagen.running_example import submission_xupdate
 from repro.xquery.engine import query_truth
 from repro.xquery.planner import clear_caches, query_truth_planned
-
-BATCH_SIZE = 32
 
 
 def _full_planned(scenario) -> bool:
@@ -75,51 +61,3 @@ def test_fig1b_full_unplanned(benchmark, workload_scenario, size_kib):
     violated = benchmark(_full_unplanned, workload_scenario)
     assert violated is False
 
-
-# -- batched update checking ---------------------------------------------
-
-
-def _batch_updates() -> list[str]:
-    """32 same-pattern submissions, one per (track, rev) target."""
-    return [
-        submission_xupdate(1 + index % 4, 1 + (index // 4) % 8,
-                           f"Batch paper {index}",
-                           f"Batch Author {index}")
-        for index in range(BATCH_SIZE)]
-
-
-def _fresh_guard(schema, size_kib):
-    documents = list(generate_corpus(spec_for_size(size_kib * 1024)))
-    return IntegrityGuard(schema, documents)
-
-
-def test_batch32_check_batch(benchmark, schema, size_kib):
-    benchmark.group = f"planner-batch{BATCH_SIZE}-{size_kib}KiB"
-    updates = _batch_updates()
-
-    def setup():
-        return (_fresh_guard(schema, size_kib),), {}
-
-    def run(guard):
-        decisions = guard.check_batch(updates)
-        # a few targets hit busy reviewers and are (correctly)
-        # rejected; both arms see the same corpus, so decisions match
-        assert len(decisions) == BATCH_SIZE
-        return decisions
-
-    benchmark.pedantic(run, setup=setup, rounds=5, warmup_rounds=0)
-
-
-def test_batch32_sequential(benchmark, schema, size_kib):
-    benchmark.group = f"planner-batch{BATCH_SIZE}-{size_kib}KiB"
-    updates = _batch_updates()
-
-    def setup():
-        return (_fresh_guard(schema, size_kib),), {}
-
-    def run(guard):
-        decisions = [guard.try_execute(update) for update in updates]
-        assert len(decisions) == BATCH_SIZE
-        return decisions
-
-    benchmark.pedantic(run, setup=setup, rounds=5, warmup_rounds=0)

@@ -222,12 +222,8 @@ class _CheckerBase:
 
     def _apply(self, log: TransactionLog, operation: Operation) -> None:
         """Resolve the target document and apply ``operation`` into
-        ``log``, announcing the mutation to any active planner batch
-        scope first — indexes the checks build after this point reflect
-        a mid-update state and must not be batch-repaired."""
-        document = self._document_for(operation)
-        planner.note_batch_mutation()
-        log.apply(document, operation)
+        ``log``."""
+        log.apply(self._document_for(operation), operation)
 
     def verify_consistency(self) -> list[str]:
         """Names of constraints currently violated (full check).
@@ -257,7 +253,7 @@ class _CheckerBase:
         Semantically identical to calling :meth:`try_execute` in a
         loop — update *k* is checked against the state left by updates
         1..k−1, and an illegal update is rejected without affecting the
-        rest.  Subclasses override this to share work across the batch.
+        rest.
         """
         return [self.try_execute(update) for update in updates]
 
@@ -317,52 +313,9 @@ class IntegrityGuard(_CheckerBase):
             decision = self._commit_sequence(update, decision, log)
         return decision
 
-    def check_batch(
-            self,
-            updates: "list[str | Operation]") -> list[UpdateDecision]:
-        """Batched :meth:`try_execute` with shared value indexes.
-
-        Decisions are identical to the sequential loop (each update is
-        checked against the state left by its predecessors), but the
-        hash-join and predicate indexes the checks build are kept
-        incrementally repaired across the batch by a planner
-        :func:`~repro.xquery.planner.batch_scope` — instead of being
-        rebuilt from scratch after every applied update, which is what
-        makes N sequential calls quadratic in practice.
-        """
-        decisions: list[UpdateDecision] = []
-        with planner.batch_scope() as scope:
-            for update in updates:
-                operations = self._operations(update)
-                records: list = []
-                with TransactionLog() as log:
-                    decision = self._decide(operations, log)
-                    decision = self._commit_sequence(
-                        update, decision, log)
-                    if decision.applied:
-                        records = log.records
-                # repair indexes only after the log has settled: a
-                # rejected update's rollback happens on context exit
-                try:
-                    fail.point("core.guard.batch.settle")
-                    if decision.applied:
-                        scope.note_applied(records)
-                    else:
-                        scope.note_rejected()
-                    # settle the columnar mirrors at the same cadence
-                    # as the hash-join index repair: a store left dirty
-                    # by a crashed delta rebuilds here instead of on
-                    # the next check's critical path
-                    incremental.settle_batch(self.documents)
-                except Exception:
-                    # index repair is cache maintenance: a failure
-                    # mid-repair must not lose an update that already
-                    # committed, so the scope is abandoned (the rest
-                    # of the batch rebuilds indexes on miss) and the
-                    # batch carries on
-                    scope.abandon()
-                decisions.append(decision)
-        return decisions
+    #: the plain sequential loop, bound here so the method has an
+    #: entry of its own that tracing and profiling tools can wrap
+    check_batch = _CheckerBase.check_batch
 
     def _decide(self, operations: list[Operation],
                 log: TransactionLog) -> UpdateDecision:

@@ -28,7 +28,7 @@ stale data because every mutation path funnels through
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.analysis.concurrency import guarded_by, requires_lock
 from repro.relational.columns import (
@@ -39,7 +39,7 @@ from repro.relational.columns import (
 )
 from repro.relational.shredder import iter_facts
 from repro.testing.failpoints import fail
-from repro.xtree.node import Document, Element, Node, Text
+from repro.xtree.node import Document, Element, Node
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relational.schema import RelationalSchema
@@ -133,11 +133,6 @@ class ColumnStore:
     def dirty(self) -> bool:
         with self.document._lock:
             return self._synced_revision != self.document.revision
-
-    def settle(self) -> None:
-        """Eagerly rebuild if dirty (batch boundaries call this)."""
-        with self.document._lock:
-            self._validate()
 
     # -- construction / validation --------------------------------------
 
@@ -375,19 +370,3 @@ def store_of(document: Document) -> ColumnStore | None:
     """The attached column store, if any."""
     store = document.column_store
     return store if isinstance(store, ColumnStore) else None
-
-
-def settle_batch(documents: Iterable[Document]) -> None:
-    """Batch-boundary settling: eagerly rebuild dirty stores.
-
-    Called from ``IntegrityGuard.check_batch`` after the batch scope
-    settles, so a batch whose deltas crashed mid-maintenance pays its
-    rebuild once here instead of on the first post-batch check.  The
-    ``columns.batch.settle`` failpoint injects crashes at this
-    boundary; a fault simply leaves the store dirty (self-healing).
-    """
-    fail.point("columns.batch.settle")
-    for document in documents:
-        store = store_of(document)
-        if store is not None:
-            store.settle()

@@ -65,6 +65,24 @@ _BAD_REQUEST_CODES = frozenset(
     {"bad-uid", "bad-request", "bad-op", "bad-json"})
 
 
+class _BadRequest(ValueError):
+    """A request the codec cannot frame; answered with 400, then the
+    connection closes."""
+
+
+async def _respond(writer: asyncio.StreamWriter, status: int,
+                   payload: dict, keep_alive: bool = True) -> None:
+    data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    reason = _REASONS.get(status, "OK")
+    connection = "keep-alive" if keep_alive else "close"
+    head = (f"HTTP/1.1 {status} {reason}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"Connection: {connection}\r\n\r\n")
+    writer.write(head.encode("ascii") + data)
+    await writer.drain()
+
+
 class WorkerRestartedError(ReproError):
     """A worker died under a request; ``restarted`` says whether the
     supervisor brought a replacement up."""
@@ -193,7 +211,16 @@ class ShardedService:
                                 writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as error:
+                    # the stream can no longer be framed: answer, then
+                    # close instead of guessing where the next request
+                    # starts
+                    await _respond(writer, 400, {
+                        "ok": False, "code": "bad-request",
+                        "error": str(error)}, keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, body = request
@@ -201,18 +228,12 @@ class ShardedService:
                     status, payload = await self._dispatch(
                         method, path, body)
                 except Exception as error:  # noqa: BLE001 — edge guard
+                    # the class name only: a repr can carry document
+                    # content or paths that are not the caller's to see
                     status, payload = 500, {
                         "ok": False, "code": "internal",
-                        "error": repr(error)}
-                data = json.dumps(payload,
-                                  ensure_ascii=False).encode("utf-8")
-                reason = _REASONS.get(status, "OK")
-                head = (f"HTTP/1.1 {status} {reason}\r\n"
-                        "Content-Type: application/json\r\n"
-                        f"Content-Length: {len(data)}\r\n"
-                        "Connection: keep-alive\r\n\r\n")
-                writer.write(head.encode("ascii") + data)
-                await writer.drain()
+                        "error": type(error).__name__}
+                await _respond(writer, status, payload)
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError, ValueError):
             pass
@@ -232,7 +253,7 @@ class ShardedService:
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            raise ValueError(f"malformed request line {line!r}")
+            raise _BadRequest("malformed request line")
         method, target, _version = parts
         length = 0
         while True:
@@ -241,7 +262,12 @@ class ShardedService:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                length = int(value.strip())
+                value = value.strip()
+                # digits only: int() would also take "-1", "+1", "1_0"
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequest(
+                        "Content-Length must be a non-negative integer")
+                length = int(value)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, body
 

@@ -12,8 +12,12 @@ unchanged since the previous publish reuses the previous snapshot's
 frozen clone (the common case — an update touches one document of the
 store).  Only mutated documents are deep-copied, frozen
 (:meth:`~repro.xtree.node.Document.freeze`), and re-attached to a
-column store, so publication cost tracks write locality, not store
-size.
+column store, so publication cost grows with the size of each
+document a commit touches, not with the number of documents.  When
+every write lands in one large document — the running example's
+``rev`` document takes all submissions — each commit clones and
+re-attaches that whole document, and those two steps dominate an
+accepted update's cost.
 
 Reclamation is epoch-style, with all bookkeeping on the manager: a
 superseded snapshot moves to the retired list and is dropped the

@@ -539,11 +539,11 @@ class CheckingService:
             updates: "list[str | Operation]") -> list[UpdateDecision]:
         """Check and apply a batch of updates under one lock round.
 
-        Exactly :meth:`~repro.core.guard.IntegrityGuard.check_batch`
-        (shared, incrementally repaired check indexes) with the writer
-        lock acquired *once* for the whole batch; applied updates enter
-        the commit log in batch order.  Decisions match the sequential
-        :meth:`try_execute` loop update for update.
+        The checker's sequential :meth:`~repro.core.guard.
+        IntegrityGuard.check_batch` loop with the writer lock acquired
+        *once* and one snapshot published for the whole batch; applied
+        updates enter the commit log in batch order.  Decisions match
+        the sequential :meth:`try_execute` loop update for update.
         """
         with self.store.write_locked():
             try:

@@ -2,8 +2,8 @@
 
 The transactional machinery grown around the paper's checkers —
 :class:`~repro.xupdate.apply.TransactionLog`, the guard's probe paths,
-the :class:`~repro.service.CheckingService` commit log, the planner's
-batch-repaired indexes — claims to keep the store consistent under
+the :class:`~repro.service.CheckingService` commit log, the column
+stores' incremental deltas — claims to keep the store consistent under
 *any* mid-flight failure.  This module makes that claim testable: the
 instrumented modules call :meth:`fail.point(name) <FailPointRegistry.
 point>` at every seam of the update/check/commit path, and a test (or
@@ -114,9 +114,6 @@ SITES: dict[str, str] = {
     "core.guard.probe.mid":
         "apply-check-rollback probe, between the probe apply and the "
         "consistency check — the probe must still roll back",
-    "core.guard.batch.settle":
-        "IntegrityGuard.check_batch, after an update settled and "
-        "before the batch indexes are repaired/re-filed",
     "service.locks.post_read_acquire":
         "ReadWriteLock.read_locked, after acquisition — the reader "
         "dies while holding the lock",
@@ -131,12 +128,6 @@ SITES: dict[str, str] = {
         "a (re)plan",
     "planner.plan_cache.insert":
         "check planner, before a fresh plan enters the plan cache",
-    "planner.batch.announce":
-        "planner batch scope, when the guard announces an imminent "
-        "mid-update mutation",
-    "planner.batch.repair":
-        "planner batch scope, before a settled update's value indexes "
-        "are incrementally repaired",
     "columns.delta.apply":
         "column store mutation listener, after the store is marked "
         "dirty and before the delta patches any column — the store "
@@ -145,9 +136,6 @@ SITES: dict[str, str] = {
         "column store mutation listener, after the delta patched the "
         "columns and before the document revision is stamped back — "
         "a fully-applied delta is discarded and rebuilt",
-    "columns.batch.settle":
-        "IntegrityGuard.check_batch settling, before dirty column "
-        "stores are eagerly rebuilt at the batch boundary",
     "columns.rebuild":
         "column store validation, before a dirty store rebuilds its "
         "materialized tables and indexes from the DOM",

@@ -90,13 +90,9 @@ SCHEDULES: dict[str, str] = {
     "service": ("service.store.pre_commit_append=count:2;"
                 "service.locks.post_write_acquire=count:4;"
                 "service.locks.post_read_acquire=count:2"),
-    "batch": ("planner.batch.announce=count:2;"
-              "planner.batch.repair=count:1;"
-              "core.guard.batch.settle=count:1"),
     "columnar": ("columns.delta.apply=count:2;"
                  "columns.delta.settle=count:5;"
-                 "columns.rebuild=count:1;"
-                 "columns.batch.settle=count:1"),
+                 "columns.rebuild=count:1"),
     "wal": "persistence.post_append_pre_apply=count:3",
     "wal-torn": "persistence.pre_fsync=count:3",
     "snapshot": "persistence.snapshot_rename=count:1",
@@ -108,18 +104,14 @@ SCHEDULES: dict[str, str] = {
               "xupdate.rollback.pre=prob:0.03:13;"
               "core.guard.post_check=prob:0.05:14;"
               "core.guard.probe.mid=prob:0.05:15;"
-              "core.guard.batch.settle=prob:0.05:16;"
               "service.store.pre_commit_append=prob:0.05:17;"
               "service.locks.post_write_acquire=prob:0.03:18;"
               "service.locks.post_read_acquire=prob:0.03:19;"
               "planner.stats.refresh=prob:0.03:20;"
               "planner.plan_cache.insert=prob:0.03:21;"
-              "planner.batch.announce=prob:0.03:22;"
-              "planner.batch.repair=prob:0.03:23;"
               "columns.delta.apply=prob:0.03:24;"
               "columns.delta.settle=prob:0.03:25;"
               "columns.rebuild=prob:0.03:26;"
-              "columns.batch.settle=prob:0.03:27;"
               "service.snapshots.publish=prob:0.03:28;"
               "service.snapshots.pin=prob:0.03:29;"
               "service.snapshots.retire=prob:0.03:30"),

@@ -25,7 +25,6 @@ the paper's setting where constraints span both ``pub.xml`` and
 from repro.xquery.parser import parse_query
 from repro.xquery.engine import QueryContext, evaluate_query
 from repro.xquery.planner import (
-    batch_scope,
     explain_query,
     query_truth_planned,
     unplanned,
@@ -45,6 +44,5 @@ __all__ = [
     "translate_denials",
     "query_truth_planned",
     "explain_query",
-    "batch_scope",
     "unplanned",
 ]

@@ -505,13 +505,6 @@ class _IndexLRU:
 #: database's value index (see :func:`_hash_index`)
 _INDEX_CACHE = _IndexLRU()
 
-#: installed by :mod:`repro.xquery.planner`: receives every cacheable
-#: hash-join index so an active batch scope can repair it incrementally
-#: across the updates of a batch instead of rebuilding it per update.
-#: ``None`` (no planner imported / no batch active) is a no-op.
-_batch_index_sink = None
-
-
 def _index_cache_key(source: "Expression", key_side: "Expression",
                      context: QueryContext) -> tuple:
     """Cache key whose revision component is as narrow as possible.
@@ -563,8 +556,6 @@ def _hash_index(name: str, source: "Expression", key_side: "Expression",
         cache_key = _index_cache_key(source, key_side, context)
         cached = _INDEX_CACHE.get(cache_key)
         if cached is not None:
-            if _batch_index_sink is not None:
-                _batch_index_sink(name, source, key_side, context, cached)
             return cached
     index_map: dict[tuple, list] = {}
     for item in _evaluate(source, context):
@@ -574,8 +565,6 @@ def _hash_index(name: str, source: "Expression", key_side: "Expression",
                 index_map.setdefault(key, []).append(item)
     if cache_key is not None:
         _INDEX_CACHE.put(cache_key, index_map)
-        if _batch_index_sink is not None:
-            _batch_index_sink(name, source, key_side, context, index_map)
     return index_map
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.testing.failpoints import (
     SITES,
@@ -88,6 +91,18 @@ class TestParseSchedule:
         # every documented site parses in a schedule
         spec = ";".join(f"{site}=count:1" for site in SITES)
         assert len(parse_schedule(spec)) == len(SITES)
+
+    def test_catalog_matches_instrumented_sites(self):
+        # a removed seam must not leave a dead catalog entry (and the
+        # schedules validated against it) behind, nor may a new seam
+        # go undocumented
+        source = Path(repro.__file__).parent
+        instrumented = {
+            match.group(1)
+            for path in source.rglob("*.py")
+            for match in re.finditer(r'fail\.point\(\s*"([^"]+)"',
+                                     path.read_text(encoding="utf-8"))}
+        assert instrumented == set(SITES)
 
 
 def _hit_n(registry: FailPointRegistry, site: str, n: int) -> list[int]:

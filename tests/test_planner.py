@@ -26,18 +26,14 @@ from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
 from repro.xquery.planner import (
     Statistics,
-    batch_scope,
     clear_caches,
     explain_query,
-    note_batch_mutation,
     query_truth_planned,
     unplanned,
-    without_columns,
 )
 from repro.xtree.node import Document, Element, Text
-from repro.xtree.parser import parse_document
 from repro.xtree.serializer import serialize
-from repro.xupdate.apply import TransactionLog, apply_operation
+from repro.xupdate.apply import apply_operation
 from repro.xupdate.parser import parse_modifications
 
 SCHEMA = make_schema()
@@ -231,8 +227,7 @@ class TestDifferentialUpdates:
     def test_check_batch_multi_operation_updates_match_sequential(self):
         # multi-operation updates check operation k after operations
         # 1..k-1 of the same update applied, so mid-batch index
-        # rebuilds happen against a partially applied state — the
-        # scenario the batch scope's settled-state bookkeeping guards
+        # rebuilds happen against a partially applied state
         def updates():
             return [
                 _multi_submission([(1, 2, "A", "Nobody A"),
@@ -446,83 +441,8 @@ class TestExplain:
         assert "est~" in out
 
 
-class TestBatchScope:
-    def test_batch_scope_repairs_indexes(self):
-        documents = _fresh_documents()
-        guard = IntegrityGuard(SCHEMA, documents)
-        updates = [submission_xupdate(1 + i % 3, 1 + i % 4,
-                                      f"T{i}", f"Author {i}")
-                   for i in range(8)]
-        # the columnar backend serves hash joins from the attached
-        # stores; disable it so the engine builds (and registers) the
-        # legacy per-check index this test observes
-        with without_columns(), batch_scope() as scope:
-            for update in updates:
-                guard.try_execute(update)
-                # mirror check_batch's bookkeeping by hand: we drive
-                # try_execute directly to observe the scope
-                scope.note_rejected()
-        # the conflict check's //aut hash join is registered once the
-        # engine builds it inside the scope
-        assert scope.registered >= 1
-
-    def test_rejected_mid_update_rebuild_is_dropped(self):
-        # an index rebuilt while an update is partially applied indexes
-        # the inserted nodes; after the update rolls back those nodes
-        # are detached, so re-filing that index would resurrect them as
-        # phantom witnesses for the rest of the batch
-        documents = _fresh_documents()
-        rev_doc = documents[1]
-        expression = parse_query(
-            "some $x in //sub satisfies $x/title/text() = 'Phantom'")
-        operation = parse_modifications(
-            submission_xupdate(1, 1, "Phantom", "Nobody Known"))[0]
-        with batch_scope() as scope:
-            assert query_truth_planned(expression, documents) is False
-            with TransactionLog() as log:
-                note_batch_mutation()
-                log.apply(rev_doc, operation)
-                # mid-update rebuild: the sub tag revision moved, so
-                # this check misses the cache and indexes the
-                # half-applied state
-                assert query_truth_planned(expression, documents) \
-                    is True
-                log.rollback()
-            scope.note_rejected()
-            assert scope.dropped >= 1
-            assert query_truth(expression, documents) is False
-            assert query_truth_planned(expression, documents) is False
-
-    def test_applied_mid_update_rebuild_is_dropped(self):
-        # an index rebuilt after the update's first operation already
-        # contains that operation's elements; repairing it with the
-        # full record list on commit would file them twice, breaking
-        # the remove-first-occurrence re-key repair later on
-        documents = _fresh_documents()
-        rev_doc = documents[1]
-        expression = parse_query(
-            "some $x in //sub satisfies $x/title/text() = 'Dup'")
-        operations = parse_modifications(_multi_submission([
-            (1, 2, "Dup", "Nobody A"), (2, 1, "Dup", "Nobody B")]))
-        with batch_scope() as scope:
-            assert query_truth_planned(expression, documents) is False
-            with TransactionLog() as log:
-                note_batch_mutation()
-                log.apply(rev_doc, operations[0])
-                assert query_truth_planned(expression, documents) \
-                    is True
-                note_batch_mutation()
-                log.apply(rev_doc, operations[1])
-                records = log.records
-                log.commit()
-            scope.note_applied(records)
-            assert scope.dropped >= 1
-            for entry in scope._entries.values():
-                for bucket in entry.index_map.values():
-                    identities = [id(element) for element in bucket]
-                    assert len(identities) == len(set(identities))
-            assert query_truth_planned(expression, documents) is True
-            assert query_truth(expression, documents) is True
+class TestIndexedSteps:
+    """The engine's ``//tag`` steps served by the tag index."""
 
     def test_indexed_descendant_step_matches_walk(self, documents):
         from repro.xquery.engine import evaluate_query

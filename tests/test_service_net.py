@@ -21,6 +21,7 @@ that makes the oracle comparison exact.
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 
@@ -291,6 +292,54 @@ def test_http_edge_validates_uids_and_routes(tmp_path):
         status, body = client.arm(0, "persistence.pre_fsync=count:1")
         assert status == 403 and body["code"] == "forbidden"
         client.close()
+
+
+def _raw_exchange(server: ServerThread, data: bytes) -> tuple[int, dict]:
+    """Send raw bytes to the edge; read the one reply up to EOF."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n", 1)[0].decode("ascii")
+    assert b"Connection: close" in head
+    return int(status_line.split()[1]), json.loads(body)
+
+
+@e2e
+@pytest.mark.parametrize("data", [
+    b"GARBAGE\r\n\r\n",
+    b"POST /read HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+    b"POST /read HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+], ids=["request-line", "non-integer-length", "negative-length"])
+def test_http_edge_answers_malformed_requests_with_400(data, tmp_path):
+    # the edge cannot frame what follows, so it answers and closes
+    # (the reply reaching EOF is the close)
+    with ServerThread(make_config(), tmp_path / "state",
+                      workers=1) as server:
+        status, body = _raw_exchange(server, data)
+    assert status == 400
+    assert body["ok"] is False and body["code"] == "bad-request"
+
+
+@e2e
+def test_http_edge_500_names_only_the_error_class(tmp_path, monkeypatch):
+    from repro.service.net.http import ShardedService
+
+    async def failing_dispatch(self, method, path, body):
+        raise RuntimeError("/private/state/path leaked")
+
+    with ServerThread(make_config(), tmp_path / "state",
+                      workers=1) as server:
+        monkeypatch.setattr(ShardedService, "_dispatch", failing_dispatch)
+        client = ServiceClient(server.host, server.port)
+        status, body = client.request("/read", {"uid": "a"})
+        client.close()
+    assert status == 500
+    assert body == {"ok": False, "code": "internal",
+                    "error": "RuntimeError"}
 
 
 # ---------------------------------------------------------------------------
